@@ -1,6 +1,7 @@
 #ifndef GQC_CORE_FACTBOARD_H_
 #define GQC_CORE_FACTBOARD_H_
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "src/graph/graph.h"
 #include "src/query/ucrpq.h"
 #include "src/util/fingerprint.h"
-#include "src/util/flat_map.h"
 #include "src/util/sync.h"
 
 namespace gqc {
@@ -45,8 +45,9 @@ namespace gqc {
 /// and evictable. Dropping an entry is always sound — a dropped fact is
 /// merely re-derived by whichever strategy finds it next.
 ///
-/// All operations are mutex-protected and safe from any thread; query
-/// evaluation (the G ⊨ p re-check) runs outside the lock on copies.
+/// All operations are mutex-protected (one RetainCache per table) and safe
+/// from any thread; query evaluation (the G ⊨ p re-check) runs outside the
+/// lock on copies.
 class SharedFactBoard {
  public:
   /// Max countermodels retained per scope; later publishes are dropped
@@ -79,34 +80,25 @@ class SharedFactBoard {
   std::optional<ContainmentResult> LookupResult(const FpKey& disjunct_key,
                                                 PipelineStats* stats) const;
 
-  /// Bounds both tables (entries are scopes/verdicts; bytes are resident
-  /// estimates; 0 = unbounded). Applies immediately and to later publishes.
-  void SetBudget(const CacheBudget& budget);
+  /// The two backing tables (countermodel scopes, verdict memos), for the
+  /// owner's lifecycle loop.
+  std::array<RetainTable*, 2> tables() { return {&countermodels_, &results_}; }
 
-  /// Drops ceil(size * pressure) lowest retain-score entries from each table
-  /// and shrinks the backing arrays; returns entries dropped.
-  std::size_t Evict(double pressure, PipelineStats* stats = nullptr);
-
-  /// Summed resident-size estimates of every retained fact.
-  std::size_t retained_bytes() const;
-
-  void Clear();
+  void Clear() {
+    countermodels_.Clear();
+    results_.Clear();
+  }
 
   std::size_t countermodel_count() const;
-  std::size_t result_count() const;
+  std::size_t result_count() const { return results_.size(); }
 
  private:
-  std::size_t EnforceBudgetLocked() GQC_REQUIRES(mu_);
-
-  mutable Mutex mu_{kLockRankFactBoard, "fact-board"};
-  CacheBudget budget_ GQC_GUARDED_BY(mu_);
-  /// tick_ and the tables are mutable so const lookups can refresh retain
-  /// recency — logical constness: lookups never change what a key maps to.
-  mutable uint64_t tick_ GQC_GUARDED_BY(mu_) = 0;
-  mutable FlatMap<FpKey, Retained<std::vector<Graph>>, FpKeyHash>
-      countermodels_ GQC_GUARDED_BY(mu_);
-  mutable FlatMap<FpKey, Retained<ContainmentResult>, FpKeyHash>
-      results_ GQC_GUARDED_BY(mu_);
+  /// Lookups refresh retain recency, so the tables are mutable: logical
+  /// constness — a lookup never changes what a key maps to.
+  mutable RetainCache<std::vector<Graph>> countermodels_{kLockRankFactBoard,
+                                                         "fact-board"};
+  mutable RetainCache<ContainmentResult> results_{kLockRankFactBoard,
+                                                  "fact-board"};
 };
 
 /// True iff every concept/role id used by `g` (labels and edges) is below

@@ -85,8 +85,11 @@ struct PipelineStats {
   std::atomic<uint64_t> compile_memo_misses{0};
 
   // --- cache lifecycle (long-running serving; DESIGN.md §12) ---
-  std::atomic<uint64_t> cache_evictions{0};      // entries dropped by Evict()
-  std::atomic<uint64_t> cache_evicted_bytes{0};  // estimated bytes released
+  /// Entries dropped from the engine's tables, by insert-time budget
+  /// enforcement or Evict(); like the gauge below, EngineCore refreshes
+  /// both from the per-table counters before every export.
+  std::atomic<uint64_t> cache_evictions{0};
+  std::atomic<uint64_t> cache_evicted_bytes{0};  // their estimated bytes
   /// Gauge, not a counter: the owner (EngineCore) refreshes it from the live
   /// caches before every export, so snapshots show current residency.
   std::atomic<uint64_t> cache_retained_bytes{0};

@@ -34,15 +34,23 @@ double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
-uint64_t NsSince(std::chrono::steady_clock::time_point start) {
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
-  return ns <= 0 ? 1 : static_cast<uint64_t>(ns);
-}
-
 std::size_t VocabBytes(const Vocabulary& vocab) {
   // Interned name strings + id tables, at a flat per-symbol rate.
   return 48 * (vocab.concept_count() + vocab.role_count());
+}
+
+std::size_t SchemaContextBytes(
+    const std::shared_ptr<const EngineCore::SchemaContext>& ctx) {
+  return 96 * ctx->tbox.size() + VocabBytes(ctx->vocab) + 128;
+}
+
+std::size_t QueryContextBytes(
+    const std::shared_ptr<const EngineCore::QueryContext>& ctx) {
+  std::size_t bytes = VocabBytes(ctx->vocab) + 256;
+  if (ctx->closure != nullptr) {
+    bytes += 8 * ctx->closure->engine_masks.size() + 1024;
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -83,38 +91,21 @@ std::shared_ptr<const EngineCore::SchemaContext> EngineCore::BuildSchemaContext(
 
 std::shared_ptr<const EngineCore::SchemaContext> EngineCore::GetSchemaContext(
     const std::string& schema_text) {
-  FpKey key(schema_text);
-  {
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    if (auto* hit = schema_ctxs_.Find(key)) {
-      hit->meta.touch = ctx_tick_;
-      stats_.schema_ctx_hits.fetch_add(1, std::memory_order_relaxed);
-      if (hit->value->warm) {
-        stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return hit->value;
-    }
-  }
-  stats_.schema_ctx_misses.fetch_add(1, std::memory_order_relaxed);
-
-  // Built outside the lock: on a racing double-miss both threads build the
-  // identical context (it is a pure function of the text) and the first
+  // Built outside the table lock: on a racing double-miss both threads build
+  // the identical context (it is a pure function of the text) and the first
   // insert wins, so determinism is unaffected.
-  auto build_start = std::chrono::steady_clock::now();
-  auto ctx = BuildSchemaContext(schema_text, /*warm=*/false);
-  uint64_t cost = NsSince(build_start);
-  std::size_t bytes = schema_text.size() + 96 * ctx->tbox.size() +
-                      VocabBytes(ctx->vocab) + 128;
-
-  MutexLock lock(&ctx_mu_);
-  auto [slot, inserted] = schema_ctxs_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = ctx;
-  slot->meta = {ctx_tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash the table; `slot` is
-  // dead after the call, so return the local ref.
-  EnforceCtxBudgetLocked();
+  CacheOutcome outcome;
+  auto ctx = schema_ctxs_.GetOrBuild(
+      FpKey(schema_text),
+      [&] {
+        stats_.schema_ctx_misses.fetch_add(1, std::memory_order_relaxed);
+        return BuildSchemaContext(schema_text, /*warm=*/false);
+      },
+      SchemaContextBytes, &outcome);
+  if (outcome == CacheOutcome::kHit) {
+    stats_.schema_ctx_hits.fetch_add(1, std::memory_order_relaxed);
+    if (ctx->warm) stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
+  }
   return ctx;
 }
 
@@ -181,44 +172,29 @@ std::shared_ptr<const EngineCore::QueryContext> EngineCore::GetQueryContext(
   // engine's pinned options; the composite key must round-trip to exactly
   // those parts or two distinct contexts could alias.
   GQC_AUDIT(ValidateCacheKey(key_text, {schema_text, q_text}));
-  FpKey key(std::move(key_text));
-  {
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    if (auto* hit = query_ctxs_.Find(key)) {
-      hit->meta.touch = ctx_tick_;
-      stats_.query_ctx_hits.fetch_add(1, std::memory_order_relaxed);
-      if (hit->value->closure != nullptr) {
-        stats_.closure_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (hit->value->warm) {
-        stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return hit->value;
+  CacheOutcome outcome;
+  auto ctx = query_ctxs_.GetOrBuild(
+      FpKey(std::move(key_text)),
+      [&] {
+        stats_.query_ctx_misses.fetch_add(1, std::memory_order_relaxed);
+        return BuildQueryContext(schema_text, q_text, guard, /*warm=*/false);
+      },
+      [&](const auto& built) -> std::optional<std::size_t> {
+        // A context whose closure build tripped the caller's guard reflects
+        // that caller's budget (or the batch deadline), not (schema, Q);
+        // caching it would degrade later, better-funded pairs. Return it
+        // uncached.
+        if (guard != nullptr && guard->exhausted()) return std::nullopt;
+        return QueryContextBytes(built);
+      },
+      &outcome);
+  if (outcome == CacheOutcome::kHit) {
+    stats_.query_ctx_hits.fetch_add(1, std::memory_order_relaxed);
+    if (ctx->closure != nullptr) {
+      stats_.closure_hits.fetch_add(1, std::memory_order_relaxed);
     }
+    if (ctx->warm) stats_.warmstart_hits.fetch_add(1, std::memory_order_relaxed);
   }
-  stats_.query_ctx_misses.fetch_add(1, std::memory_order_relaxed);
-
-  auto build_start = std::chrono::steady_clock::now();
-  auto ctx = BuildQueryContext(schema_text, q_text, guard, /*warm=*/false);
-  uint64_t cost = NsSince(build_start);
-
-  // A context whose closure build tripped the caller's guard reflects that
-  // caller's budget (or the batch deadline), not (schema, Q); caching it
-  // would degrade later, better-funded pairs. Return it uncached.
-  if (guard != nullptr && guard->exhausted()) return ctx;
-
-  std::size_t bytes = key.text().size() + VocabBytes(ctx->vocab) + 256;
-  if (ctx->closure != nullptr) {
-    bytes += 8 * ctx->closure->engine_masks.size() + 1024;
-  }
-  MutexLock lock(&ctx_mu_);
-  auto [slot, inserted] = query_ctxs_.TryEmplace(std::move(key));
-  if (!inserted) return slot->value;
-  slot->value = ctx;
-  slot->meta = {ctx_tick_, cost, bytes};
-  // Enforcement may evict this very entry and rehash; `slot` is dead after.
-  EnforceCtxBudgetLocked();
   return ctx;
 }
 
@@ -435,85 +411,46 @@ void EngineCore::CancelAll() {
   for (CancellationToken& token : active_controls_) token.Cancel();
 }
 
-void EngineCore::SetCacheBudget(const CacheBudget& budget) {
-  regex_cache_.SetBudget(budget);
-  facts_.SetBudget(budget);
-  compile_memo_.SetBudget(budget);
-  MutexLock lock(&ctx_mu_);
-  ctx_budget_ = budget;
-  EnforceCtxBudgetLocked();
+std::array<RetainTable*, 7> EngineCore::Tables() {
+  auto [countermodels, results] = facts_.tables();
+  auto [boolean_cis, theta] = compile_memo_.tables();
+  return {&schema_ctxs_, &query_ctxs_, regex_cache_.table(), countermodels,
+          results, boolean_cis, theta};
 }
 
-std::size_t EngineCore::EnforceCtxBudgetLocked() {
-  if (!ctx_budget_.bounded()) return 0;
-  std::size_t entries = schema_ctxs_.size() + query_ctxs_.size();
-  std::size_t bytes = RetainedBytes(schema_ctxs_) + RetainedBytes(query_ctxs_);
-  std::size_t drop = OverBudgetDropCount(ctx_budget_, entries, bytes);
-  if (drop == 0) return 0;
-  // Query contexts dominate (closures) and depend on schema contexts, so
-  // evict them first; schema contexts go only when that is not enough.
-  std::size_t from_queries = std::min(drop, query_ctxs_.size());
-  std::size_t bytes_freed = 0;
-  std::size_t freed = EvictLowestScore(&query_ctxs_, ctx_tick_, from_queries,
-                                       &bytes_freed);
-  freed += EvictLowestScore(&schema_ctxs_, ctx_tick_, drop - from_queries,
-                            &bytes_freed);
-  stats_.cache_evictions.fetch_add(freed, std::memory_order_relaxed);
-  stats_.cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-  return freed;
+void EngineCore::SetCacheBudget(const CacheBudget& budget) {
+  for (RetainTable* table : Tables()) table->SetBudget(budget);
 }
 
 std::size_t EngineCore::Evict(double pressure) {
   std::size_t freed = 0;
-  freed += regex_cache_.Evict(pressure, &stats_);
-  freed += facts_.Evict(pressure, &stats_);
-  std::size_t memo_freed = compile_memo_.Evict(pressure);
-  stats_.cache_evictions.fetch_add(memo_freed, std::memory_order_relaxed);
-  freed += memo_freed;
-  {
-    MutexLock lock(&ctx_mu_);
-    std::size_t bytes_freed = 0;
-    std::size_t n = 0;
-    n += EvictLowestScore(&schema_ctxs_, ctx_tick_,
-                          EvictionCount(schema_ctxs_.size(), pressure),
-                          &bytes_freed);
-    n += EvictLowestScore(&query_ctxs_, ctx_tick_,
-                          EvictionCount(query_ctxs_.size(), pressure),
-                          &bytes_freed);
-    stats_.cache_evictions.fetch_add(n, std::memory_order_relaxed);
-    stats_.cache_evicted_bytes.fetch_add(bytes_freed, std::memory_order_relaxed);
-    freed += n;
-  }
+  for (RetainTable* table : Tables()) freed += table->Evict(pressure);
   RefreshLifecycleGauges();
   return freed;
 }
 
 std::size_t EngineCore::retained_bytes() const {
-  std::size_t total = regex_cache_.retained_bytes() + facts_.retained_bytes() +
-                      compile_memo_.retained_bytes();
-  MutexLock lock(&ctx_mu_);
-  return total + RetainedBytes(schema_ctxs_) + RetainedBytes(query_ctxs_);
+  std::size_t total = 0;
+  // Tables() hands out mutable pointers; bytes() only reads.
+  for (const RetainTable* table : const_cast<EngineCore*>(this)->Tables()) {
+    total += table->bytes();
+  }
+  return total;
 }
 
 EngineCore::SnapshotKeys EngineCore::ExportSnapshotKeys() const {
   SnapshotKeys keys;
-  {
-    MutexLock lock(&ctx_mu_);
-    schema_ctxs_.ForEach(
-        [&](const FpKey& k, const Retained<std::shared_ptr<const SchemaContext>>& r) {
-          // Contexts that failed to parse are not worth re-warming.
-          if (r.value->error.empty()) keys.schemas.push_back(k.text());
-        });
-    query_ctxs_.ForEach(
-        [&](const FpKey& k, const Retained<std::shared_ptr<const QueryContext>>& r) {
-          if (!r.value->error.empty()) return;
-          auto parts = SplitKeyParts(k.text());
-          if (parts.has_value() && parts->size() == 2) {
-            keys.queries.emplace_back(std::move((*parts)[0]),
-                                      std::move((*parts)[1]));
-          }
-        });
-  }
+  schema_ctxs_.ForEach([&](const FpKey& k, const auto& ctx) {
+    // Contexts that failed to parse are not worth re-warming.
+    if (ctx->error.empty()) keys.schemas.push_back(k.text());
+  });
+  query_ctxs_.ForEach([&](const FpKey& k, const auto& ctx) {
+    if (!ctx->error.empty()) return;
+    auto parts = SplitKeyParts(k.text());
+    if (parts.has_value() && parts->size() == 2) {
+      keys.queries.emplace_back(std::move((*parts)[0]), std::move((*parts)[1]));
+    }
+  });
   std::sort(keys.schemas.begin(), keys.schemas.end());
   std::sort(keys.queries.begin(), keys.queries.end());
   return keys;
@@ -522,61 +459,45 @@ EngineCore::SnapshotKeys EngineCore::ExportSnapshotKeys() const {
 std::size_t EngineCore::WarmStart(const SnapshotKeys& keys) {
   std::size_t loaded = 0;
   for (const std::string& schema_text : keys.schemas) {
-    FpKey key(schema_text);
-    {
-      MutexLock lock(&ctx_mu_);
-      if (schema_ctxs_.Find(key) != nullptr) continue;
-    }
-    auto build_start = std::chrono::steady_clock::now();
-    auto ctx = BuildSchemaContext(schema_text, /*warm=*/true);
-    uint64_t cost = NsSince(build_start);
-    std::size_t bytes = schema_text.size() + 96 * ctx->tbox.size() +
-                        VocabBytes(ctx->vocab) + 128;
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    auto [slot, inserted] = schema_ctxs_.TryEmplace(std::move(key));
-    if (inserted) {
-      slot->value = std::move(ctx);
-      slot->meta = {ctx_tick_, cost, bytes};
-      EnforceCtxBudgetLocked();
-      ++loaded;
-    }
+    CacheOutcome outcome;
+    schema_ctxs_.GetOrBuild(
+        FpKey(schema_text),
+        [&] { return BuildSchemaContext(schema_text, /*warm=*/true); },
+        SchemaContextBytes, &outcome);
+    if (outcome == CacheOutcome::kInserted) ++loaded;
   }
   for (const auto& [schema_text, q_text] : keys.queries) {
-    FpKey key(JoinKeyParts(schema_text, q_text));
-    {
-      MutexLock lock(&ctx_mu_);
-      if (query_ctxs_.Find(key) != nullptr) continue;
-    }
-    auto build_start = std::chrono::steady_clock::now();
-    auto ctx = BuildQueryContext(schema_text, q_text, /*guard=*/nullptr,
-                                 /*warm=*/true);
-    uint64_t cost = NsSince(build_start);
-    std::size_t bytes = key.text().size() + VocabBytes(ctx->vocab) + 256;
-    if (ctx->closure != nullptr) {
-      bytes += 8 * ctx->closure->engine_masks.size() + 1024;
-    }
-    MutexLock lock(&ctx_mu_);
-    ++ctx_tick_;
-    auto [slot, inserted] = query_ctxs_.TryEmplace(std::move(key));
-    if (inserted) {
-      slot->value = std::move(ctx);
-      slot->meta = {ctx_tick_, cost, bytes};
-      EnforceCtxBudgetLocked();
-      ++loaded;
-    }
+    CacheOutcome outcome;
+    query_ctxs_.GetOrBuild(
+        FpKey(JoinKeyParts(schema_text, q_text)),
+        [&] {
+          return BuildQueryContext(schema_text, q_text, /*guard=*/nullptr,
+                                   /*warm=*/true);
+        },
+        QueryContextBytes, &outcome);
+    if (outcome == CacheOutcome::kInserted) ++loaded;
   }
   stats_.warmstart_loaded.fetch_add(loaded, std::memory_order_relaxed);
   return loaded;
 }
 
 void EngineCore::RefreshLifecycleGauges() {
+  uint64_t evictions = 0;
+  uint64_t evicted_bytes = 0;
+  std::size_t bytes = 0;
+  for (const RetainTable* table : Tables()) {
+    RetainCounters c = table->counters();
+    evictions += c.evictions;
+    evicted_bytes += c.evicted_bytes;
+    bytes += table->bytes();
+  }
   stats_.compile_memo_hits.store(compile_memo_.hits(),
                                  std::memory_order_relaxed);
   stats_.compile_memo_misses.store(compile_memo_.misses(),
                                    std::memory_order_relaxed);
-  stats_.cache_retained_bytes.store(retained_bytes(),
-                                    std::memory_order_relaxed);
+  stats_.cache_evictions.store(evictions, std::memory_order_relaxed);
+  stats_.cache_evicted_bytes.store(evicted_bytes, std::memory_order_relaxed);
+  stats_.cache_retained_bytes.store(bytes, std::memory_order_relaxed);
 }
 
 std::string EngineCore::StatsJson() {
@@ -585,15 +506,7 @@ std::string EngineCore::StatsJson() {
 }
 
 void EngineCore::ResetState() {
-  {
-    MutexLock lock(&ctx_mu_);
-    schema_ctxs_.Clear();
-    query_ctxs_.Clear();
-    ctx_tick_ = 0;
-  }
-  regex_cache_.Clear();
-  facts_.Clear();
-  compile_memo_.Clear();
+  for (RetainTable* table : Tables()) table->Clear();
   stats_.Reset();
 }
 

@@ -1,6 +1,7 @@
 #ifndef GQC_ENGINE_ENGINE_CORE_H_
 #define GQC_ENGINE_ENGINE_CORE_H_
 
+#include <array>
 #include <chrono>
 #include <list>
 #include <memory>
@@ -153,17 +154,17 @@ class EngineCore {
   void CancelAll() GQC_EXCLUDES(cancel_mu_);
 
   std::shared_ptr<const SchemaContext> GetSchemaContext(
-      const std::string& schema_text) GQC_EXCLUDES(ctx_mu_);
+      const std::string& schema_text);
   /// `guard` (optional) governs the closure build on a context miss; a
   /// context whose closure build tripped the guard reflects that caller's
   /// budget, not (schema, Q), and is returned uncached.
   std::shared_ptr<const QueryContext> GetQueryContext(
       const std::string& schema_text, const std::string& q_text,
-      ResourceGuard* guard) GQC_EXCLUDES(ctx_mu_);
+      ResourceGuard* guard);
 
-  /// Bounds every memoized table (context maps, regex cache, fact board,
-  /// compile memo) — the budget applies to each table separately, not to
-  /// their sum. 0 = unbounded.
+  /// Bounds every memoized table (schema/query contexts, regex cache, fact
+  /// board, compile memo) — the budget applies to each of the seven tables
+  /// separately, not to their sum. 0 = unbounded.
   void SetCacheBudget(const CacheBudget& budget);
 
   /// Drops ceil(size * pressure) lowest retain-score entries from every
@@ -181,7 +182,7 @@ class EngineCore {
     /// (schema text, Q text) pairs.
     std::vector<std::pair<std::string, std::string>> queries;
   };
-  SnapshotKeys ExportSnapshotKeys() const GQC_EXCLUDES(ctx_mu_);
+  SnapshotKeys ExportSnapshotKeys() const;
 
   /// Rebuilds contexts for the given keys (values recomputed from scratch —
   /// a snapshot carries no values, so warm-start cannot alter verdicts) and
@@ -200,12 +201,17 @@ class EngineCore {
   /// Refreshes the lifecycle gauges/memo counters, then exports the stats.
   std::string StatsJson();
 
-  /// Copies the compile-memo counters and the retained-bytes gauge into
-  /// stats() (they live in their owners between exports).
+  /// Copies the compile-memo hit/miss counters, the eviction counters summed
+  /// over every table, and the retained-bytes gauge into stats() (they live
+  /// in the tables between exports).
   void RefreshLifecycleGauges();
 
   /// Drops memoized contexts and zeroes the stats (for measurement runs).
   void ResetState();
+
+  /// The seven memo tables: schema contexts, query contexts, regex cache,
+  /// fact-board countermodels and verdicts, compile-memo Boolean CIs and Θ.
+  std::array<RetainTable*, 7> Tables();
 
  private:
   std::shared_ptr<const SchemaContext> BuildSchemaContext(
@@ -213,7 +219,6 @@ class EngineCore {
   std::shared_ptr<const QueryContext> BuildQueryContext(
       const std::string& schema_text, const std::string& q_text,
       ResourceGuard* guard, bool warm);
-  std::size_t EnforceCtxBudgetLocked() GQC_REQUIRES(ctx_mu_);
 
   EngineOptions options_;
   PipelineStats stats_;
@@ -226,16 +231,12 @@ class EngineCore {
   /// through EngineLimits (unless the caller supplied their own).
   CompiledScopeMemo compile_memo_;
 
-  /// Guards the memoized context maps; values are computed outside the lock
-  /// (a racing double-miss builds the identical context; first insert wins).
-  /// Mutable so const inspection (retained_bytes, ExportSnapshotKeys) locks.
-  mutable Mutex ctx_mu_{kLockRankEngineContext, "engine-ctx"};
-  CacheBudget ctx_budget_ GQC_GUARDED_BY(ctx_mu_);
-  uint64_t ctx_tick_ GQC_GUARDED_BY(ctx_mu_) = 0;
-  FlatMap<FpKey, Retained<std::shared_ptr<const SchemaContext>>, FpKeyHash>
-      schema_ctxs_ GQC_GUARDED_BY(ctx_mu_);
-  FlatMap<FpKey, Retained<std::shared_ptr<const QueryContext>>, FpKeyHash>
-      query_ctxs_ GQC_GUARDED_BY(ctx_mu_);
+  /// Memoized contexts; values are built outside the table locks (a racing
+  /// double-miss builds the identical context; first insert wins).
+  RetainCache<std::shared_ptr<const SchemaContext>> schema_ctxs_{
+      kLockRankEngineContext, "engine-schema-ctx"};
+  RetainCache<std::shared_ptr<const QueryContext>> query_ctxs_{
+      kLockRankEngineContext, "engine-query-ctx"};
 
   /// Guards the registry of in-flight control cancellation tokens (the list
   /// CancelAll walks); the tokens themselves are wait-free once copied out.

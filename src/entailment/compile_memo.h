@@ -1,7 +1,7 @@
 #ifndef GQC_ENTAILMENT_COMPILE_MEMO_H_
 #define GQC_ENTAILMENT_COMPILE_MEMO_H_
 
-#include <atomic>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -13,7 +13,6 @@
 #include "src/entailment/common.h"
 #include "src/graph/type.h"
 #include "src/util/fingerprint.h"
-#include "src/util/flat_map.h"
 #include "src/util/sync.h"
 
 namespace gqc {
@@ -32,12 +31,11 @@ namespace gqc {
 /// fingerprint-then-verify) holds here too. Compiled artifacts are pure
 /// functions of their keys, so memoization can never change a verdict.
 ///
-/// Thread-safe: probes are mutex-protected (kLockRankCompileMemo — above
-/// every other cache rank, so a probe is legal no matter which cache lock a
-/// caller's caller holds), values are computed outside the lock, first
-/// insert wins. Hit/miss counters are internal atomics because the probing
-/// call sites (EngineLimits consumers) carry no PipelineStats; the owner
-/// exports them.
+/// Thread-safe: each table is a RetainCache whose lock has rank
+/// kLockRankCompileMemo — above every other cache rank, so a probe is legal
+/// no matter which cache lock a caller's caller holds. Hit/miss counts live
+/// in the tables because the probing call sites (EngineLimits consumers)
+/// carry no PipelineStats; the owner exports them.
 class CompiledScopeMemo {
  public:
   /// The compiled Boolean CIs of `tbox` over `space`, memoized.
@@ -48,34 +46,17 @@ class CompiledScopeMemo {
   std::shared_ptr<const CompiledTheta> GetTheta(const TypeSpace& space,
                                                 const std::vector<Type>& theta);
 
-  /// Lifecycle: bound the memo (0 = unbounded); over-budget inserts evict
-  /// lowest retain-score entries (recency × recompute-cost).
-  void SetBudget(const CacheBudget& budget);
-  /// Drops ceil(size * pressure) lowest-scoring entries; returns the count.
-  std::size_t Evict(double pressure);
-  void Clear();
+  /// The two backing tables, for the owner's lifecycle loop.
+  std::array<RetainTable*, 2> tables() { return {&boolean_, &theta_}; }
 
-  std::size_t size() const;
-  std::size_t retained_bytes() const;
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const;
+  uint64_t misses() const;
 
  private:
-  std::size_t EnforceBudgetLocked() GQC_REQUIRES(mu_);
-
-  mutable Mutex mu_{kLockRankCompileMemo, "compile-memo"};
-  CacheBudget budget_ GQC_GUARDED_BY(mu_);
-  uint64_t tick_ GQC_GUARDED_BY(mu_) = 0;
-  FlatMap<FpKey, Retained<std::shared_ptr<const CompiledBooleanCis>>, FpKeyHash>
-      boolean_ GQC_GUARDED_BY(mu_);
-  FlatMap<FpKey, Retained<std::shared_ptr<const CompiledTheta>>, FpKeyHash>
-      theta_ GQC_GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
+  RetainCache<std::shared_ptr<const CompiledBooleanCis>> boolean_{
+      kLockRankCompileMemo, "compile-memo"};
+  RetainCache<std::shared_ptr<const CompiledTheta>> theta_{kLockRankCompileMemo,
+                                                           "compile-memo"};
 };
 
 }  // namespace gqc

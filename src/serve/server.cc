@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +46,38 @@ BatchOutcome ShedOutcome(std::string id, bool draining) {
   out.attr.note = draining ? "shed: server draining, no new work admitted"
                            : "shed: admission queue full";
   return out;
+}
+
+/// Writes `line` plus a newline to `fd`; false if the client went away.
+bool SendLine(int fd, std::string line) {
+  line.push_back('\n');
+  std::size_t sent = 0;
+  // lint: bounded(short writes on a blocking socket; sends until done)
+  while (sent < line.size()) {
+    ssize_t wrote =
+        ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+    if (wrote <= 0) return false;
+    sent += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
+/// Half-closes `fd` after an error answer and discards up to `limit` more
+/// bytes the client is still sending (until EOF, error or a 100ms lull):
+/// closing with unread input would reset the connection and could lose the
+/// answer.
+void CloseAfterError(int fd, std::size_t limit) {
+  ::shutdown(fd, SHUT_WR);
+  char sink[4096];
+  pollfd p{};
+  p.fd = fd;
+  p.events = POLLIN;
+  ssize_t n = 0;
+  // lint: bounded(consumes at most `limit` bytes of client input)
+  while (limit > 0 && ::poll(&p, 1, 100) > 0 &&
+         (n = ::recv(fd, sink, sizeof(sink), 0)) > 0) {
+    limit -= std::min(limit, static_cast<std::size_t>(n));
+  }
 }
 
 double ParsePositiveMs(const std::string& text) {
@@ -253,8 +286,9 @@ void Server::HandleConnection(int fd, std::string peer) {
   std::shared_ptr<Session> session = sessions_.Open(std::move(peer));
   std::string buf;
   char chunk[4096];
+  bool open = true;
   // lint: bounded(runs until client EOF or drain; each iteration is one poll tick)
-  for (;;) {
+  while (open) {
     pollfd p{};
     p.fd = fd;
     p.events = POLLIN;
@@ -274,22 +308,23 @@ void Server::HandleConnection(int fd, std::string peer) {
     buf.append(chunk, static_cast<std::size_t>(n));
     std::size_t pos;
     // lint: bounded(one iteration per complete line in the receive buffer)
-    while ((pos = buf.find('\n')) != std::string::npos) {
+    while (open && (pos = buf.find('\n')) <= kMaxRequestLineBytes) {
       std::string line = buf.substr(0, pos);
       buf.erase(0, pos + 1);
-      if (line.empty() || line == "\r") continue;
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      std::string response = HandleRequestLine(line, session.get());
-      response.push_back('\n');
-      std::size_t sent = 0;
-      // lint: bounded(short writes on a blocking socket; sends until done)
-      while (sent < response.size()) {
-        ssize_t wrote = ::send(fd, response.data() + sent,
-                               response.size() - sent, MSG_NOSIGNAL);
-        if (wrote <= 0) break;
-        sent += static_cast<std::size_t>(wrote);
-      }
-      if (sent < response.size()) break;  // client went away mid-response
+      if (line.empty()) continue;
+      // A failed send means the client went away mid-response.
+      open = SendLine(fd, HandleRequestLine(line, session.get()));
+    }
+    if (open && buf.size() > kMaxRequestLineBytes) {
+      // The pending line is over the cap: a client that never sends a
+      // newline must not grow `buf` without bound. Answer once, then close.
+      session->errors.fetch_add(1, std::memory_order_relaxed);
+      (void)SendLine(fd, ErrorJson("request: line exceeds " +
+                                   std::to_string(kMaxRequestLineBytes) +
+                                   " bytes"));
+      CloseAfterError(fd, kMaxRequestLineBytes);
+      open = false;
     }
   }
   ::close(fd);

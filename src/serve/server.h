@@ -2,6 +2,7 @@
 #define GQC_SERVE_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,6 +18,11 @@
 namespace gqc {
 namespace serve {
 
+/// Longest request line a connection may send (1 MiB, newline excluded). A
+/// longer line is answered with {"ok":false,...} and the connection closed,
+/// so a client that never sends a newline cannot grow server memory.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 /// Options for the serving front end.
 struct ServeOptions {
   /// Engine configuration (threads, strategies, portfolio, budgets). The
@@ -26,7 +32,8 @@ struct ServeOptions {
   /// Default wall-clock budget per decide request (ms). A request's own
   /// "deadline_ms" field overrides; 0 falls back to engine.batch_timeout_ms.
   double request_deadline_ms = 0;
-  /// Budget applied to every engine cache table (0/0 = unbounded).
+  /// Budget applied to each engine cache table separately, not to their sum
+  /// (0/0 = unbounded; gqc_serve's --cache-entries/--cache-mb set it).
   CacheBudget cache_budget;
   /// Warm-start snapshot: loaded (if present and valid) at construction,
   /// saved on graceful drain. Empty = persistence off.

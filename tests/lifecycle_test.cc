@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,62 +29,121 @@ TEST(LifecycleTest, RetainScorePrefersHotAndExpensive) {
   EXPECT_GT(RetainScore(now, zero), 0.0);
 }
 
+/// Inserts `key` with an explicit recompute cost and a total resident size
+/// of `bytes` (key text included, as RetainCache charges it).
+void Put(RetainCache<int>* cache, const std::string& key, uint64_t cost,
+         std::size_t bytes, int value = 0) {
+  cache->Update(
+      FpKey(key),
+      [&](int& held) {
+        held = value;
+        return true;
+      },
+      [&](const int&) { return bytes - key.size(); }, cost);
+}
+
+/// A cache of `n` equal entries.
+std::unique_ptr<RetainCache<int>> Filled(std::size_t n, std::size_t bytes = 64) {
+  auto cache = std::make_unique<RetainCache<int>>(kLockRankLeaf, "test");
+  for (std::size_t i = 0; i < n; ++i) {
+    Put(cache.get(), "k" + std::to_string(i), 1, bytes);
+  }
+  return cache;
+}
+
 TEST(LifecycleTest, EvictionCountIsCeilClamped) {
-  EXPECT_EQ(EvictionCount(0, 0.5), 0u);
-  EXPECT_EQ(EvictionCount(10, 0.0), 0u);
-  EXPECT_EQ(EvictionCount(10, -1.0), 0u);
-  EXPECT_EQ(EvictionCount(10, 1.0), 10u);
-  EXPECT_EQ(EvictionCount(10, 2.0), 10u);
-  EXPECT_EQ(EvictionCount(10, 0.5), 5u);
-  EXPECT_EQ(EvictionCount(10, 0.01), 1u);  // ceil, not floor
-  EXPECT_EQ(EvictionCount(3, 0.34), 2u);
+  EXPECT_EQ(Filled(0)->Evict(0.5), 0u);
+  EXPECT_EQ(Filled(10)->Evict(0.0), 0u);
+  EXPECT_EQ(Filled(10)->Evict(-1.0), 0u);
+  EXPECT_EQ(Filled(10)->Evict(1.0), 10u);
+  EXPECT_EQ(Filled(10)->Evict(2.0), 10u);
+  EXPECT_EQ(Filled(10)->Evict(0.5), 5u);
+  EXPECT_EQ(Filled(10)->Evict(0.01), 1u);  // ceil, not floor
+  EXPECT_EQ(Filled(3)->Evict(0.34), 2u);
 }
 
 TEST(LifecycleTest, OverBudgetDropCountTargetsSlack) {
-  CacheBudget unbounded;
-  EXPECT_EQ(OverBudgetDropCount(unbounded, 1000, 1 << 30), 0u);
+  // Budget enforcement drops the overshoot at insert (or SetBudget) time;
+  // the counters record exactly how many entries it dropped.
+  auto unbounded = Filled(1000, std::size_t{1} << 20);
+  unbounded->SetBudget(CacheBudget{});
+  EXPECT_EQ(unbounded->counters().evictions, 0u);
 
-  CacheBudget entries{/*max_entries=*/64, /*max_bytes=*/0};
-  EXPECT_EQ(OverBudgetDropCount(entries, 64, 0), 0u);  // at budget: fine
+  auto entries = Filled(64);
+  entries->SetBudget(CacheBudget{/*max_entries=*/64, /*max_bytes=*/0});
+  EXPECT_EQ(entries->counters().evictions, 0u);  // at budget: fine
   // One over: drop down to 7/8 of the bound (56), not just back to 64.
-  EXPECT_EQ(OverBudgetDropCount(entries, 65, 0), 65u - 56u);
+  Put(entries.get(), "k64", 1, 64);
+  EXPECT_EQ(entries->counters().evictions, 65u - 56u);
+  EXPECT_EQ(entries->size(), 56u);
 
-  CacheBudget bytes{/*max_entries=*/0, /*max_bytes=*/8192};
-  EXPECT_EQ(OverBudgetDropCount(bytes, 16, 8192), 0u);
+  auto bytes = Filled(16, 512);
+  bytes->SetBudget(CacheBudget{/*max_entries=*/0, /*max_bytes=*/8192});
+  EXPECT_EQ(bytes->counters().evictions, 0u);
   // 16 entries x 1024 bytes, budget 8192: target is 7168, excess 9216,
   // per-entry 1024 -> drop 9 entries.
-  EXPECT_EQ(OverBudgetDropCount(bytes, 16, 16 * 1024), 9u);
-  // Byte overshoot can never ask for more entries than exist.
-  EXPECT_LE(OverBudgetDropCount(bytes, 4, 1 << 28), 4u);
+  auto over = Filled(16, 1024);
+  over->SetBudget(CacheBudget{0, 8192});
+  EXPECT_EQ(over->counters().evictions, 9u);
+  EXPECT_EQ(over->counters().evicted_bytes, 9u * 1024u);
+  // Byte overshoot can never drop more entries than exist.
+  auto huge = Filled(4, std::size_t{1} << 26);
+  huge->SetBudget(CacheBudget{0, 8192});
+  EXPECT_LE(huge->counters().evictions, 4u);
 }
 
 TEST(LifecycleTest, EvictLowestScoreDropsColdCheapFirstDeterministically) {
-  FlatMap<FpKey, Retained<int>, FpKeyHash> map;
-  auto put = [&](const std::string& key, uint64_t touch, uint64_t cost,
-                 std::size_t bytes, int value) {
-    auto slot = map.TryEmplace(FpKey(key), Retained<int>{});
-    slot.first->value = value;
-    slot.first->meta = RetainMeta{touch, cost, bytes};
-  };
-  put("cold-cheap", 1, 10, 100, 1);
-  put("cold-expensive", 1, 100000, 100, 2);
-  put("hot-cheap", 99, 10, 100, 3);
-  put("hot-expensive", 99, 100000, 100, 4);
+  RetainCache<int> cache(kLockRankLeaf, "test");
+  Put(&cache, "cold-cheap", 10, 100, 1);
+  Put(&cache, "cold-expensive", 100000, 100, 2);
+  // Age the first two: every probe advances the table's tick.
+  for (int i = 0; i < 96; ++i) (void)cache.Find(FpKey("absent"));
+  Put(&cache, "hot-cheap", 10, 100, 3);
+  Put(&cache, "hot-expensive", 100000, 100, 4);
 
-  std::size_t freed = 0;
-  EXPECT_EQ(EvictLowestScore(&map, /*now_tick=*/100, /*drop=*/2, &freed), 2u);
-  EXPECT_EQ(freed, 200u);
-  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(cache.Evict(/*pressure=*/0.5), 2u);
+  EXPECT_EQ(cache.counters().evicted_bytes, 200u);
+  EXPECT_EQ(cache.size(), 2u);
   // The cold-cheap and hot-cheap entries score lowest; the expensive ones
   // must survive.
-  EXPECT_NE(map.Find(FpKey("cold-expensive")), nullptr);
-  EXPECT_NE(map.Find(FpKey("hot-expensive")), nullptr);
-  EXPECT_EQ(map.Find(FpKey("cold-cheap")), nullptr);
+  EXPECT_EQ(cache.Find(FpKey("cold-expensive")), std::optional<int>(2));
+  EXPECT_EQ(cache.Find(FpKey("hot-expensive")), std::optional<int>(4));
+  EXPECT_EQ(cache.Find(FpKey("cold-cheap")), std::nullopt);
 
-  // Dropping more than the size is clamped; empty map is a no-op.
-  EXPECT_EQ(EvictLowestScore(&map, 100, 10), 2u);
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(EvictLowestScore(&map, 100, 1), 0u);
+  // Dropping more than the size is clamped; empty cache is a no-op.
+  EXPECT_EQ(cache.Evict(10.0), 2u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Evict(1.0), 0u);
+  EXPECT_EQ(cache.counters().evictions, 4u);
+}
+
+TEST(LifecycleTest, GetOrBuildBuildsOnceAndReturnsHeldValue) {
+  RetainCache<int> cache(kLockRankLeaf, "test");
+  cache.SetBudget(CacheBudget{/*max_entries=*/1, /*max_bytes=*/0});
+  int builds = 0;
+  auto build = [&] { return ++builds; };
+  auto bytes = [](const int&) { return std::size_t{8}; };
+  CacheOutcome outcome;
+  EXPECT_EQ(cache.GetOrBuild(FpKey("a"), build, bytes, &outcome), 1);
+  EXPECT_EQ(outcome, CacheOutcome::kInserted);
+  EXPECT_EQ(cache.GetOrBuild(FpKey("a"), build, bytes, &outcome), 1);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
+  // Inserting "b" over the 1-entry budget evicts one entry; the call still
+  // returns its own value.
+  EXPECT_EQ(cache.GetOrBuild(FpKey("b"), build, bytes, &outcome), 2);
+  EXPECT_EQ(outcome, CacheOutcome::kInserted);
+  EXPECT_EQ(cache.size(), 1u);
+  // bytes_of declining to retain hands the value back uncached.
+  auto decline = [](const int&) -> std::optional<std::size_t> {
+    return std::nullopt;
+  };
+  EXPECT_EQ(cache.GetOrBuild(FpKey("c"), build, decline, &outcome), 3);
+  EXPECT_EQ(outcome, CacheOutcome::kUncached);
+  RetainCounters c = cache.counters();
+  EXPECT_EQ(c.inserts, c.evictions + cache.size());
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.misses, 3u);
+  EXPECT_EQ(cache.bytes(), cache.size() * (1 + 8));
 }
 
 // --------------------------------------------------- eviction soundness (e2e)
@@ -160,6 +221,45 @@ TEST(LifecycleTest, ByteBudgetBoundsRetainedBytes) {
   engine.core().Evict(1.0);
   EXPECT_LT(engine.core().retained_bytes(), before);
   EXPECT_EQ(engine.core().retained_bytes(), 0u);
+}
+
+TEST(LifecycleTest, EveryInsertIsEvictedOrRetainedAndEveryEvictionExported) {
+  for (bool portfolio : {false, true}) {
+    // Portfolio mode races every strategy on one thread: fewer items.
+    std::vector<BatchItem> items = WorkloadBatch(portfolio ? 6 : 24, 7);
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.portfolio = portfolio;
+    Engine engine(opts);
+    engine.core().SetCacheBudget(CacheBudget{/*max_entries=*/2, 0});
+    (void)engine.DecideBatch(items);
+    engine.core().RefreshLifecycleGauges();
+    EXPECT_EQ(engine.stats().budget_steps.load(std::memory_order_relaxed) +
+                  engine.stats().budget_memory.load(std::memory_order_relaxed) +
+                  engine.stats().budget_deadline.load(std::memory_order_relaxed),
+              0u)
+        << "the workload must not trip guards";
+
+    uint64_t evictions = 0;
+    uint64_t evicted_bytes = 0;
+    for (RetainTable* table : engine.core().Tables()) {
+      RetainCounters c = table->counters();
+      EXPECT_EQ(c.inserts, c.evictions + table->size()) << "portfolio=" << portfolio;
+      EXPECT_LE(table->size(), 2u);
+      evictions += c.evictions;
+      evicted_bytes += c.evicted_bytes;
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_EQ(engine.stats().cache_evictions.load(std::memory_order_relaxed),
+              evictions);
+    EXPECT_EQ(engine.stats().cache_evicted_bytes.load(std::memory_order_relaxed),
+              evicted_bytes);
+
+    // ResetState zeroes the tables' counters along with the stats.
+    engine.core().ResetState();
+    engine.core().RefreshLifecycleGauges();
+    EXPECT_EQ(engine.stats().cache_evictions.load(std::memory_order_relaxed), 0u);
+  }
 }
 
 // ----------------------------------------------------------------- snapshots

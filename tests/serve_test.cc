@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/engine/engine.h"
+#include "src/schema/workload.h"
 #include "src/serve/server.h"
 #include "src/util/json.h"
 
@@ -247,6 +249,54 @@ TEST_F(ServerTest, EvictVerbDropsRetainedState) {
   // Eviction is lifecycle-only: the same request decides identically after.
   std::string after = server.HandleRequestLine(kDecideLine, session.get());
   EXPECT_EQ(Field(after, "ok"), "true");
+  server.CloseSession(session->id);
+}
+
+TEST_F(ServerTest, BoundedServerReplaysBatchVerdictsAcrossEvict) {
+  WorkloadOptions wopts;
+  wopts.seed = 7;
+  std::vector<BatchItem> items;
+  for (const WorkloadInstance& w : GenerateWorkload(wopts, 8)) {
+    items.push_back({std::to_string(items.size()), w.schema_text, w.p_text,
+                     w.q_text});
+  }
+  EngineOptions eopts;
+  eopts.threads = 1;
+  Engine batch(eopts);
+  std::vector<BatchOutcome> expected = batch.DecideBatch(items);
+
+  // Every table capped at 2 entries, and a full-pressure evict between the
+  // passes: the served answers must still match the batch CLI's path.
+  ServeOptions options = MakeOptions();
+  options.cache_budget = CacheBudget{/*max_entries=*/2, /*max_bytes=*/0};
+  Server server(options);
+  auto session = server.OpenSession("inproc");
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      JsonWriter w;
+      w.BeginObject();
+      w.Key("id").String(items[i].id);
+      w.Key("schema").String(items[i].schema_text);
+      w.Key("p").String(items[i].p_text);
+      w.Key("q").String(items[i].q_text);
+      w.EndObject();
+      std::string resp = server.HandleRequestLine(w.Take(), session.get());
+      std::string want = OutcomeToJson(expected[i]);
+      for (const char* key : {"ok", "verdict", "method", "note",
+                              "countermodel_nodes"}) {
+        EXPECT_EQ(Field(resp, key), Field(want, key))
+            << "pass " << pass << " item " << i << " field " << key;
+      }
+    }
+    if (pass == 0) {
+      std::string ev = server.HandleRequestLine(
+          R"json({"op":"evict","pressure":"1"})json", session.get());
+      EXPECT_EQ(Field(ev, "ok"), "true");
+    }
+  }
+  server.core().RefreshLifecycleGauges();
+  EXPECT_GT(server.core().stats().cache_evictions.load(std::memory_order_relaxed),
+            0u);
   server.CloseSession(session->id);
 }
 

@@ -35,6 +35,11 @@ Rules (see DESIGN.md for the catalogue, rationale, and suppression syntax):
                   type-index bitsets, MaskIndex, and the open-addressing
                   FlatMap/FlatSet (DESIGN.md §11). Genuinely cold code
                   escapes with `// lint: cold(<why>)`.
+  retain-cache    the cache-lifecycle internals (`Retained<`, `RetainMeta`,
+                  `EvictLowestScore`, `OverBudgetDropCount`) are banned in
+                  src/ outside src/core/lifecycle.h — every memo table is a
+                  RetainCache<V>, so budget, retain and evict logic lives in
+                  one place.
   header-self-contained  every header in src/ must compile on its own
                   (IWYU-lite; catches headers leaning on transitive includes).
 
@@ -123,11 +128,20 @@ ATOMIC_CALL_RE = re.compile(
 HOT_PATH_FILE_PATTERNS = [
     r"src/entailment/[^/]+\.(?:h|cc)$",
     r"src/core/caches\.(?:h|cc)$",
+    # Every cache probe runs through RetainCache.
+    r"src/core/lifecycle\.h$",
     # The serving layer sits on every request's path: its session registry
     # and admission bookkeeping must stay on the flat containers too.
     r"src/serve/[^/]+\.(?:h|cc)$",
 ]
 HOT_PATH_CONTAINER_RE = re.compile(r"std\s*::\s*(?:multiset|multimap|set|map)\b")
+
+# Cache-lifecycle internals: only RetainCache (src/core/lifecycle.h) may
+# hand-roll retain metadata, scoring or eviction.
+RETAIN_CACHE_RE = re.compile(
+    r"\bRetained\s*<|\bRetainMeta\b|\bEvictLowestScore\b|\bOverBudgetDropCount\b"
+)
+RETAIN_CACHE_SANCTIONED = [r"src/core/lifecycle\.h$"]
 
 VALUE_CALL_RE = re.compile(
     r"(?:std\s*::\s*move\s*\(\s*)?"
@@ -545,6 +559,26 @@ def rule_hot_path_container(path, text, stripped, annotations, treat_as_hot=Fals
     return findings
 
 
+def rule_retain_cache(path, text, stripped, annotations):
+    rel = path.replace("\\", "/")
+    if any(re.search(p, rel) for p in RETAIN_CACHE_SANCTIONED):
+        return []
+    findings = []
+    for m in RETAIN_CACHE_RE.finditer(stripped):
+        lineno = line_of(stripped, m.start())
+        name = re.sub(r"\s+", "", m.group(0))
+        findings.append(
+            Finding(
+                "retain-cache",
+                path,
+                lineno,
+                f"`{name}` outside src/core/lifecycle.h — build the table on "
+                "RetainCache<V> instead of hand-rolling retain/evict logic",
+            )
+        )
+    return findings
+
+
 def check_header_self_contained(repo, header, std):
     """Compiles `#include "<header>"` alone; returns a Finding or None."""
     rel = os.path.relpath(header, repo).replace("\\", "/")
@@ -595,6 +629,7 @@ TEXT_RULES = {
     "raw-sync-primitive": rule_raw_sync_primitive,
     "atomic-memory-order": rule_atomic_memory_order,
     "hot-path-container": rule_hot_path_container,
+    "retain-cache": rule_retain_cache,
 }
 ALL_RULES = list(TEXT_RULES) + ["header-self-contained"]
 
@@ -684,6 +719,8 @@ def selftest(repo):
     expect("atomic-memory-order", "atomic_order_good.cc", False)
     expect("hot-path-container", "hot_path_container_bad.cc", True, treat_as_hot=True)
     expect("hot-path-container", "hot_path_container_good.cc", False, treat_as_hot=True)
+    expect("retain-cache", "retain_cache_bad.cc", True)
+    expect("retain-cache", "retain_cache_good.cc", False)
     expect("header-self-contained", "header_bad.h", True)
     expect("header-self-contained", "header_good.h", False)
 

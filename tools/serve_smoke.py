@@ -10,6 +10,8 @@ Asserts:
   * over-deadline requests come back kUnknown (deadline), never a flipped
     definite verdict;
   * malformed lines get {"ok":false,...} without killing the connection;
+  * a request line over the 1 MiB cap gets {"ok":false,...} and EOF, and
+    the server keeps answering new connections;
   * stats/ping/evict respond; and
   * SIGTERM drains gracefully: every in-flight request is answered and the
     process exits 0.
@@ -128,6 +130,30 @@ def main():
         pong = client.request({"op": "ping"})
         if not pong.get("pong"):
             fail("connection dead after malformed line")
+
+        # An endless request line (no newline) is capped: one error answer,
+        # then EOF on that connection; other connections are unaffected.
+        hog = socket.create_connection(("127.0.0.1", port), timeout=30)
+        try:
+            hog.sendall(b"x" * (2 << 20))
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server may close before the whole stream is sent
+        got = b""
+        while True:
+            chunk = hog.recv(65536)
+            if not chunk:
+                break
+            got += chunk
+        hog.close()
+        lines = got.split(b"\n")
+        if len(lines) != 2 or lines[1] != b"":
+            fail("over-long line: want one answer then EOF, got %r" % got[:200])
+        if json.loads(lines[0]).get("ok") is not False:
+            fail("over-long line accepted: %r" % lines[0])
+        fresh = Client(port)
+        if not fresh.request({"op": "ping"}).get("pong"):
+            fail("server dead after an over-long line")
+        fresh.close()
 
         ev = client.request({"op": "evict", "pressure": "1.0"})
         if not ev.get("ok"):
